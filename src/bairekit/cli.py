@@ -209,14 +209,18 @@ def cmd_diag(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_circuit_diag(args) -> int:
+def _halving(args) -> tuple[list[circuits.FlipStep], bool]:
+    """Majority-flip steps over the (n, size) family for ``bits`` queries
+    cycling through the n-bit strings, and whether every step halved."""
     family = list(circuits.enumerate_circuits(args.n, args.size))
     cycle = [rank_to_string(2**args.n - 1 + (i % 2**args.n)) for i in range(args.bits)]
     steps, _ = circuits.diagonal_steps(family, cycle, args.sigma)
-    ok = True
+    return steps, all(step.after <= step.before // 2 for step in steps)
+
+
+def cmd_circuit_diag(args) -> int:
+    steps, ok = _halving(args)
     for step in steps:
-        holds = step.after <= step.before // 2
-        ok &= holds
         print(f"z={step.z} bit={step.bit} before={step.before} after={step.after}")
     print("halving PASS" if ok else "halving FAIL")
     return 0 if ok else 1
@@ -280,13 +284,7 @@ def cmd_verify(args) -> int:
         if suite == "roundtrip":
             good = _verify_roundtrip(args.trials or 2**12)
         elif suite == "halving":
-            family = list(circuits.enumerate_circuits(args.n, args.size))
-            cycle = [
-                rank_to_string(2**args.n - 1 + (i % 2**args.n))
-                for i in range(args.bits)
-            ]
-            steps, _ = circuits.diagonal_steps(family, cycle, args.sigma)
-            good = all(s.after <= s.before // 2 for s in steps)
+            _, good = _halving(args)
         elif suite == "fairness":
             if args.fixture == "broken":
                 # deliberately unfair martingale: exercises the FAIL path
@@ -464,6 +462,9 @@ def _merge(args: argparse.Namespace, cfg: dict) -> argparse.Namespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:
+        # the re-parse below must see the same arguments, --config included
+        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -482,7 +483,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
         if args.command is None:
-            args = parser.parse_args([*(argv or []), command])
+            args = parser.parse_args([*argv, command])
         args = _merge(args, cfg)
         if command == "validate":
             merged_cfg = dict(cfg)

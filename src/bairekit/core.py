@@ -41,11 +41,6 @@ def strings_of_length(n: int) -> Iterator[str]:
         yield format(v, f"0{n}b") if n else ""
 
 
-def first_strings_of_length(n: int, count: int) -> list[str]:
-    """The first ``count`` strings of length n (lexicographic)."""
-    return [format(v, f"0{n}b") for v in range(min(count, 2**n))]
-
-
 def monus(a: int, b: int) -> int:
     """Truncated subtraction: max(a - b, 0)."""
     return a - b if a > b else 0
@@ -71,12 +66,13 @@ def iroot(x: int, k: int) -> int:
         return x
     if k == 2:
         return isqrt(x)
-    r = int(round(x ** (1.0 / k)))
-    while r > 0 and r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    # integer Newton steps fall from any seed above the root to its floor
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
 
 
 def ceil_pow(n: int, delta: Fraction) -> int:

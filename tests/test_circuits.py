@@ -1,11 +1,17 @@
+import itertools
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bairekit.core import derive_seed, string_to_rank
 from bairekit.errors import EmptySet, MalformedCircuit, ScaleGuard
 from bairekit.circuits import (
+    FlipStep,
     OracleCircuit,
+    _gate_choices,
     consistent_set,
     diagonal_steps,
     enumerate_circuits,
@@ -14,6 +20,7 @@ from bairekit.circuits import (
     majority_vote,
     truth_table,
 )
+from bairekit.strategy import PrefixOracle
 
 IN0 = ("IN", 0)
 IN1 = ("IN", 1)
@@ -106,6 +113,47 @@ class TestEnumerate:
             list(enumerate_circuits(5, 1))
         with pytest.raises(ScaleGuard):
             list(enumerate_circuits(1, 6))
+
+
+def reference_enumeration(n, s, oracle_arity=1):
+    """Product-then-filter enumeration: every combination of gate choices,
+    keeping those where each added gate but the last feeds a later gate."""
+    inputs = tuple(("IN", j) for j in range(n))
+    for j in range(n):
+        yield OracleCircuit(n, inputs, j)
+    for m in range(1, s + 1):
+        choice_lists = [_gate_choices(n + t, oracle_arity) for t in range(m)]
+        for combo in itertools.product(*choice_lists):
+            used = set()
+            for gate in combo:
+                refs = gate[1] if gate[0] == "ORC" else gate[1:]
+                used.update(r for r in refs if r >= n)
+            if all(n + t in used for t in range(m - 1)):
+                yield OracleCircuit(n, inputs + combo, n + m - 1)
+
+
+# (n, s) rungs of the halving benchmark, with their family sizes
+FAMILY_SIZES = {
+    (2, 1): 9, (2, 2): 51, (2, 3): 485, (2, 4): 7093,
+    (3, 1): 16, (3, 2): 120, (3, 3): 1498, (3, 4): 27810,
+    (4, 1): 25, (4, 2): 235, (4, 3): 3637,
+}
+
+
+class TestEnumerationMatchesReference:
+    @pytest.mark.parametrize(
+        "n,s,arity",
+        [(n, s, 1) for (n, s) in FAMILY_SIZES if (n, s) != (3, 4)] + [(2, 3, 2)],
+    )
+    def test_same_dump_sequence(self, n, s, arity):
+        got = [c.dump() for c in enumerate_circuits(n, s, oracle_arity=arity)]
+        want = [c.dump() for c in reference_enumeration(n, s, arity)]
+        assert got == want
+        if arity == 1:
+            assert len(got) == FAMILY_SIZES[(n, s)]
+
+    def test_largest_rung_count(self):
+        assert sum(1 for _ in enumerate_circuits(3, 4)) == FAMILY_SIZES[(3, 4)]
 
 
 class TestConsistentSet:
@@ -212,3 +260,95 @@ def test_rank_convention_of_oracle_gate():
     for u in ("00", "01", "10", "11"):
         want = int(sigma[string_to_rank(u)]) if string_to_rank(u) < len(sigma) else 0
         assert eval_circuit(c, u, sigma) == want
+
+
+def reference_steps(family, zs, sigma):
+    """Gate-by-gate flip loop: majority over the current set, then a filter."""
+    current = list(family)
+    steps = []
+    for z in zs:
+        bit = 1 - majority_or_one(current, z, sigma)
+        survivors = [c for c in current if eval_circuit(c, z, sigma) == bit]
+        steps.append(FlipStep(z, bit, len(current), len(survivors)))
+        current = survivors
+    return steps, current
+
+
+def outcome(run):
+    """(steps, survivor dumps), or the type of the error raised."""
+    try:
+        steps, survivors = run()
+    except (MalformedCircuit, ValueError) as exc:
+        return type(exc)
+    return steps, [c.dump() for c in survivors]
+
+
+@lru_cache(maxsize=None)
+def small_family(n, s, arity):
+    return tuple(enumerate_circuits(n, s, oracle_arity=arity))
+
+
+MALFORMED = (
+    OracleCircuit(2, (IN0, IN1, ("NOT", 2)), 2),
+    OracleCircuit(2, (IN0, IN1, ("XOR", 0, 1)), 2),
+    OracleCircuit(2, (IN0, IN1, ("AND", 0, 1)), 3),
+)
+
+
+@st.composite
+def flip_runs(draw):
+    n, s, arity = draw(
+        st.sampled_from([(1, 2, 1), (2, 0, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)])
+    )
+    pool = small_family(n, s, arity)
+    family = draw(st.sampled_from(["whole", "empty", "sample"]))
+    if family == "whole":
+        family = list(pool)
+    elif family == "empty":
+        family = []
+    else:
+        family = draw(st.lists(st.sampled_from(pool), max_size=40))
+    if n == 2 and draw(st.booleans()):
+        family.insert(draw(st.integers(0, len(family))), draw(st.sampled_from(MALFORMED)))
+    strings = [format(v, f"0{n}b") for v in range(2**n)]
+    zs = draw(st.lists(st.sampled_from(strings), max_size=2 * 2**n + 2))
+    if draw(st.booleans()):
+        zs.insert(draw(st.integers(0, len(zs))), "1" * (n + 1))
+    sigma = draw(st.text("01", max_size=12))
+    return family, zs, sigma
+
+
+class TestDiagonalStepsMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(flip_runs(), st.booleans())
+    def test_same_steps_survivors_and_errors(self, run, as_view):
+        family, zs, bits = run
+        sigma = PrefixOracle.from_string(bits) if as_view else bits
+        want = outcome(lambda: reference_steps(family, zs, bits))
+        assert outcome(lambda: diagonal_steps(family, zs, sigma)) == want
+        if as_view:
+            assert len(sigma.reads) == len(set(sigma.reads))
+
+    def test_edge_cases(self):
+        fam = list(enumerate_circuits(2, 2))
+        assert diagonal_steps([], ["00", "111"], "01") == (
+            [FlipStep("00", 0, 0, 0), FlipStep("111", 0, 0, 0)],
+            [],
+        )
+        # no query evaluates nothing, so a malformed circuit does not raise
+        assert diagonal_steps(MALFORMED, [], "") == ([], list(MALFORMED))
+        with pytest.raises(MalformedCircuit):
+            diagonal_steps(fam + [MALFORMED[0]], ["01"], "")
+        with pytest.raises(ValueError):
+            diagonal_steps(fam, ["010"], "")
+        with pytest.raises(ValueError):
+            diagonal_steps(fam, ["01", "0"], "")
+
+    def test_long_sigma_as_view_reads_each_position_once(self):
+        fam = list(enumerate_circuits(2, 3, oracle_arity=2))
+        zs = ["11", "00", "10", "01", "11", "00"]
+        bits = "1011001110101"
+        view = PrefixOracle.from_string(bits)
+        assert diagonal_steps(fam, zs, view) == reference_steps(fam, zs, bits)
+        assert sorted(view.reads) == sorted(set(view.reads))
+        assert set(view.reads) <= set(range(1, 8))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bairekit
 from bairekit.cli import main, parse_spec, validate_config
 from bairekit.errors import ConfigError
 
@@ -237,6 +242,25 @@ class TestConfig:
         cfg.write_text(json.dumps({"command": "chi", "bits": -3}))
         code, _, err = run(capsys, "--config", str(cfg))
         assert code == 2
+
+    def test_command_line_config_is_validated(self, tmp_path):
+        # main() with no argv reads sys.argv, as `python -m bairekit.cli` does
+        src = str(Path(bairekit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def cli(cfg):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            return subprocess.run(
+                [sys.executable, "-m", "bairekit.cli", "--config", str(path)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+
+        bad = cli({"command": "chi", "bits": 0})
+        assert (bad.returncode, bad.stdout) == (2, "")
+        assert "bits must be a positive integer" in bad.stderr
+        good = cli({"command": "chi", "language": "parity", "bits": 3})
+        assert (good.returncode, good.stdout, good.stderr) == (0, "001\n", "")
 
 
 def test_parse_spec():

@@ -90,6 +90,23 @@ def test_iroot_and_ceil_pow():
     assert ceil_pow(0, Fraction(1, 2)) == 0
 
 
+@given(
+    st.one_of(st.integers(0, 2**64), st.integers(2**1024, 2**3000)),
+    st.integers(1, 12),
+)
+def test_iroot_floor_property(x, k):
+    # exact for x beyond float range, where a float seed overflows
+    r = iroot(x, k)
+    assert r**k <= x < (r + 1) ** k
+
+
+def test_iroot_beyond_float_range():
+    r = iroot(2**1100, 3)
+    assert r**3 <= 2**1100 < (r + 1) ** 3
+    assert iroot(2**1200, 3) == 2**400
+    assert iroot(2**1200 - 1, 3) == 2**400 - 1
+
+
 def test_bound_eval_examples():
     assert bound_eval(BoundFamily.poly(2), 5) == 25
     for k in range(5):
