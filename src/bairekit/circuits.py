@@ -63,7 +63,8 @@ def _oracle_bit(sigma: OracleLike, pos: int) -> int:
 
 
 def eval_circuit(c: OracleCircuit, x: str, sigma: OracleLike) -> int:
-    """Gate-by-gate evaluation of c on input x with oracle sigma.
+    """Gate-by-gate evaluation of c on input x with oracle sigma; the
+    reference that the bit-sliced :func:`diagonal_steps` is tested against.
 
     An ORACLE gate whose wires carry bits spelling u answers the bit at
     position rank(u)+1 of sigma, 0 when that lies beyond the prefix.
@@ -76,9 +77,9 @@ def eval_circuit(c: OracleCircuit, x: str, sigma: OracleLike) -> int:
         if op == "IN":
             values.append(int(x[gate[1]]))
             continue
-        refs = gate[1] if op == "ORC" else gate[1:]
-        if any(not 0 <= r < idx for r in refs):
-            raise MalformedCircuit(f"gate g{idx} references a non-earlier wire")
+        for r in gate[1] if op == "ORC" else gate[1:]:
+            if not 0 <= r < idx:
+                raise MalformedCircuit(f"gate g{idx} references a non-earlier wire")
         if op == "NOT":
             values.append(1 - values[gate[1]])
         elif op == "AND":
@@ -86,8 +87,17 @@ def eval_circuit(c: OracleCircuit, x: str, sigma: OracleLike) -> int:
         elif op == "OR":
             values.append(values[gate[1]] | values[gate[2]])
         elif op == "ORC":
-            u = "".join(str(values[w]) for w in gate[1])
-            values.append(_oracle_bit(sigma, string_to_rank(u) + 1))
+            # rank(u)+1 is the number with binary digits 1u
+            pos = 1
+            for w in gate[1]:
+                bit = values[w]
+                if bit >> 1:
+                    # a wire off {0, 1} (a non-binary x or sigma digit)
+                    # spells u in decimal digits, as str() writes them
+                    pos = string_to_rank("".join(str(values[v]) for v in gate[1])) + 1
+                    break
+                pos = 2 * pos + bit
+            values.append(_oracle_bit(sigma, pos))
         else:
             raise MalformedCircuit(f"unknown gate op {op!r}")
     if not 0 <= c.output < len(c.gates):

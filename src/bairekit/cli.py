@@ -5,7 +5,8 @@ parameter, and command-line flags override it.  All randomness flows from the
 single ``seed`` through sha256-derived sub-seeds, so runs with the same
 config and seed produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 property failure or runtime guard, 2 config error.
+Exit codes: 0 success, 1 property failure or runtime guard, 2 config error
+(a parameter value the library rejects with ``ValueError`` included).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ COMMANDS = (
     "validate",
 )
 VERIFY_SUITES = ("roundtrip", "halving", "fairness", "union", "queryset", "all")
+POSITIVE_KEYS = ("bits", "horizon", "rounds", "trials")
 
 
 def parse_spec(text: str) -> tuple[str, dict[str, str]]:
@@ -311,6 +313,15 @@ def fairness_ok(d, depth: int) -> bool:
     return martingale.fairness_check(d, depth).ok
 
 
+def positive_diags(values: dict) -> list[str]:
+    """Diagnostics for the counts that must be positive integers."""
+    return [
+        f"{key} must be a positive integer"
+        for key in POSITIVE_KEYS
+        if key in values and (not isinstance(values[key], int) or values[key] < 1)
+    ]
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Diagnostics for a config mapping; empty means a run would start."""
     diags: list[str] = []
@@ -331,9 +342,7 @@ def validate_config(cfg: dict) -> list[str]:
             build_strategy(str(cfg["strategy"]), seed if isinstance(seed, int) else 0)
         except (ConfigError, ValueError) as exc:
             diags.append(f"strategy: {exc}")
-    for key in ("bits", "horizon", "rounds", "trials"):
-        if key in cfg and (not isinstance(cfg[key], int) or cfg[key] < 1):
-            diags.append(f"{key} must be a positive integer")
+    diags += positive_diags(cfg)
     if command in ("circuit-diag",) or cfg.get("suite") == "halving":
         n, size = cfg.get("n", 2), cfg.get("size", 2)
         if not (isinstance(n, int) and 0 <= n <= circuits.MAX_INPUTS):
@@ -494,6 +503,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for d in diags:
                 print(d, file=sys.stderr)
             return 2
+        bad = positive_diags({k: v for k, v in vars(args).items() if v is not None})
+        if bad:
+            raise ConfigError(bad[0])
         handler = {
             "chi": cmd_chi,
             "strategy": cmd_strategy,
@@ -505,7 +517,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "verify": cmd_verify,
         }[command]
         return handler(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BairekitError as exc:

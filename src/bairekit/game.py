@@ -269,15 +269,18 @@ def diag_language_global(h: IndexedConstructor) -> LanguageOracle:
     """Language meeting h_i for every i >= 1, with block i (the positions of
     all length-i strings) holding ext(h_i(blocks before)) padded with zeros.
 
-    Membership is computed per string by resimulating the extensions of all
-    blocks up to the string's length, answering the strategy's queries from
-    the stored extensions and zeros.
+    Membership is computed per string from the extensions of all blocks up to
+    the string's length, answering the strategy's queries from the stored
+    extensions and zeros.  Each language keeps the extensions it has computed,
+    so a query computes only the blocks no earlier query reached, in
+    increasing order; the store is bounded by the longest string queried.  A
+    block that overflows is not stored, so a retry raises again.
     """
+    stored: dict[int, str] = {}
 
     def member(x: str) -> int:
         n = len(x)
-        stored: dict[int, str] = {}
-        for i in range(1, n + 1):
+        for i in range(len(stored) + 1, n + 1):
             view = PrefixOracle(2**i - 1, _stored_block_lookup(stored))
             w = h.extend_at(i, view)
             if len(w) > 2**i:

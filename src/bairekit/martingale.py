@@ -60,6 +60,8 @@ def fairness_check(d: MartingaleLike, depth: int) -> FairnessReport:
     """Verify 2d(w) = d(w0) + d(w1) exactly, and d >= 0, for all |w| <= depth."""
     if depth > 14:
         raise ValueError("fairness depth capped at 14")
+    if depth < 0:
+        raise ValueError("fairness depth must be >= 0")
 
     if isinstance(d, Martingale):
         # capital is carried down the tree, one stake evaluation per node

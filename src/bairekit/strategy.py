@@ -165,6 +165,22 @@ def materialize_local(
     raise AssertionError("unreachable")
 
 
+def extension_length(
+    h: LocalConstructor, i: int, sigma: PrefixLike, cap: int = DEFAULT_EXT_CAP
+) -> int:
+    """``len(materialize_local(h, i, sigma, cap))``, with the same errors and
+    ext_bit calls, counted without building the extension."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    view = as_view(sigma)
+    k = 1
+    while h.ext_bit(i, view, k) is not None:
+        if k > cap:
+            raise ExtensionCap(f"{h.name}: no extension end within {cap} bits")
+        k += 1
+    return k - 1
+
+
 def local_as_constructor(h: LocalConstructor, i: int = 0, cap: int = DEFAULT_EXT_CAP) -> Constructor:
     return Constructor(f"{h.name}[{i}]", lambda view: materialize_local(h, i, view, cap))
 
@@ -212,6 +228,8 @@ def meets_at(
     the verdict.
     """
     if isinstance(h, LocalConstructor):
+        if cap < 1:
+            raise ValueError("cap must be >= 1")
         view = as_view(tau)
         for k in range(1, cap + 2):
             b = h.ext_bit(index, view, k)
@@ -362,7 +380,7 @@ def bound_extension_sizes(
         for length in range(budget + 1):
             for v in range(2**length):
                 sigma = format(v, f"0{length}b") if length else ""
-                best = max(best, len(materialize_local(h, i, sigma, ext_cap)))
+                best = max(best, extension_length(h, i, sigma, ext_cap))
         f.append(best)
     return f
 
@@ -416,6 +434,8 @@ def meter_extension(
     view = as_view(sigma)
     n = prefix_arg_size(len(view)) + index.bit_length()
     if isinstance(h, LocalConstructor):
+        if cap < 1:
+            raise ValueError("cap must be >= 1")
         steps = 0
         bits: list[str] = []
         for k in range(1, cap + 2):

@@ -352,3 +352,91 @@ class TestDiagonalStepsMatchesReference:
         assert diagonal_steps(fam, zs, view) == reference_steps(fam, zs, bits)
         assert sorted(view.reads) == sorted(set(view.reads))
         assert set(view.reads) <= set(range(1, 8))
+
+
+def reference_eval(c, x, sigma):
+    """Gate-by-gate evaluation that spells each oracle query u as a string
+    and reads position string_to_rank(u) + 1."""
+    if len(x) != c.n_inputs:
+        raise ValueError(f"input length {len(x)} != n_inputs {c.n_inputs}")
+    values = []
+    for idx, gate in enumerate(c.gates):
+        op = gate[0]
+        if op == "IN":
+            values.append(int(x[gate[1]]))
+            continue
+        refs = gate[1] if op == "ORC" else gate[1:]
+        if any(not 0 <= r < idx for r in refs):
+            raise MalformedCircuit(f"gate g{idx} references a non-earlier wire")
+        if op == "NOT":
+            values.append(1 - values[gate[1]])
+        elif op == "AND":
+            values.append(values[gate[1]] & values[gate[2]])
+        elif op == "OR":
+            values.append(values[gate[1]] | values[gate[2]])
+        elif op == "ORC":
+            u = "".join(str(values[w]) for w in gate[1])
+            pos = string_to_rank(u) + 1
+            if isinstance(sigma, PrefixOracle):
+                values.append(sigma.read(pos))
+            else:
+                values.append(int(sigma[pos - 1]) if 1 <= pos <= len(sigma) else 0)
+        else:
+            raise MalformedCircuit(f"unknown gate op {op!r}")
+    if not 0 <= c.output < len(c.gates):
+        raise MalformedCircuit("output references a missing gate")
+    return values[c.output]
+
+
+@st.composite
+def any_circuits(draw):
+    """Canonical circuits, and gate lists with wires that may point forward
+    or below 0, unknown ops, stray arguments and a missing output gate."""
+    if draw(st.booleans()):
+        n, s, arity = draw(st.sampled_from([(1, 2, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 2)]))
+        return draw(st.sampled_from(small_family(n, s, arity)))
+    n = draw(st.integers(0, 3))
+    gates = [("IN", draw(st.integers(-1, n))) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 5))):
+        idx = len(gates)
+        stray = st.integers(-1, idx + 1)
+        wire = stray if draw(st.integers(0, 5)) == 0 else st.integers(0, max(idx - 1, 0))
+        op = draw(st.sampled_from(["NOT", "AND", "OR", "ORC", "XOR", "IN"]))
+        if op == "ORC":
+            gates.append(("ORC", tuple(draw(st.lists(wire, max_size=3)))))
+        elif op == "IN":
+            gates.append(("IN", draw(st.integers(0, max(n - 1, 0)))))
+        else:
+            refs = [draw(wire) for _ in range(1 if op == "NOT" else 2)]
+            if draw(st.integers(0, 5)) == 0:
+                refs.append(draw(stray))
+            gates.append((op, *refs))
+    output = draw(st.integers(-1, len(gates)))
+    return OracleCircuit(n, tuple(gates), output)
+
+
+def eval_outcome(evaluate, c, x, bits, as_view):
+    """(result or (error type, message), reads log) of one evaluation."""
+    sigma = PrefixOracle.from_string(bits) if as_view else bits
+    try:
+        result = evaluate(c, x, sigma)
+    except (MalformedCircuit, ValueError, IndexError, TypeError) as exc:
+        result = (type(exc), str(exc))
+    return result, sigma.reads if as_view else None
+
+
+class TestEvalMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        any_circuits(),
+        st.integers(-1, 1),
+        st.sampled_from(["01", "01", "0129", "01a"]),
+        st.text("01", max_size=12) | st.text("0123", max_size=12),
+        st.booleans(),
+        st.data(),
+    )
+    def test_same_result_errors_and_reads(self, c, slack, alphabet, bits, as_view, data):
+        length = max(c.n_inputs + slack, 0)
+        x = data.draw(st.text(alphabet, min_size=length, max_size=length))
+        want = eval_outcome(reference_eval, c, x, bits, as_view)
+        assert eval_outcome(eval_circuit, c, x, bits, as_view) == want

@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bairekit
-from bairekit.cli import main, parse_spec, validate_config
+from bairekit.cli import COMMANDS, main, parse_spec, validate_config
 from bairekit.errors import ConfigError
 
 
@@ -271,3 +273,56 @@ def test_parse_spec():
     )
     with pytest.raises(ConfigError):
         parse_spec("sparse:broken")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chi", "--bits", "-3"],
+        ["check", "--horizon", "0"],
+        ["verify", "--suite", "fairness", "--depth", "20"],
+        ["chi", "--language", "sparse:coeffs=a", "--bits", "8"],
+        ["check", "--cap", "-1"],
+        ["strategy", "--strategy", "sparse", "--prefix", "0110", "--cap", "-1"],
+    ],
+)
+def test_bad_values_exit_two_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+FUZZ_FLAGS = (
+    "--language", "--bits", "--strategy", "--prefix", "--index", "--cap", "--bound",
+    "--horizon", "--family", "--adversary", "--rounds", "--mode", "--meets", "--n",
+    "--size", "--sigma", "--suite", "--depth", "--trials", "--fixture", "--seed",
+)
+# small counts keep every admitted run short; words mix valid and invalid values
+FUZZ_VALUES = st.integers(-3, 3).map(str) | st.sampled_from(
+    [
+        "", "x", "0110", "012", "full", "empty", "parity", "generic", "sparse",
+        "sparse:coeffs=a", "sparse:coeffs=1,1:seed=2", "explicit:bits=012", "singletons",
+        "ones", "seeded", "zeros", "global", "local", "poly:2", "poly:x", "fairness",
+        "halving", "all", "broken", "size-diag", "sigma2", "singleton:language=empty",
+    ]
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    argv = [draw(st.sampled_from(COMMANDS))]
+    for _ in range(draw(st.integers(0, 4))):
+        argv += [draw(st.sampled_from(FUZZ_FLAGS)), draw(FUZZ_VALUES)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_argvs())
+def test_fuzzed_argv_exits_zero_one_or_two(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flags
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

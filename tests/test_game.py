@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bairekit.core import derive_seed, monus
+from bairekit.core import derive_seed, monus, rank_to_string
 from bairekit.errors import ExtensionOverflow, PlayerIIStalled, ScaleGuard
 from bairekit.language import chi_prefix
 from bairekit.strategy import (
@@ -18,6 +18,7 @@ from bairekit.strategy import (
     materialize_local,
 )
 from bairekit.game import (
+    _stored_block_lookup,
     adversary_suite,
     block_location,
     diag_language_global,
@@ -319,3 +320,73 @@ class TestDiagCrossValidation:
             boundary = sum(table[:i])
             w = materialize_local(h, i, direct[:boundary])
             assert direct[boundary : boundary + len(w)] == w, i
+
+
+def resimulating_member(h):
+    """Per-string membership that recomputes every block up to the string's
+    length on each call."""
+
+    def member(x):
+        n = len(x)
+        stored = {}
+        for i in range(1, n + 1):
+            view = PrefixOracle(2**i - 1, _stored_block_lookup(stored))
+            w = h.extend_at(i, view)
+            if len(w) > 2**i:
+                raise ExtensionOverflow(f"{h.name}[{i}]: {len(w)} bits exceed block size {2**i}")
+            stored[i] = w
+        if n == 0:
+            return 0
+        offset = int(x, 2)
+        ext = stored[n]
+        return int(ext[offset]) if offset < len(ext) else 0
+
+    return member
+
+
+def counting(h):
+    """h with a log of the indices it is asked to extend at."""
+    calls = []
+
+    def extend_at(i, view):
+        calls.append(i)
+        return h.extend_at(i, view)
+
+    return IndexedConstructor(h.name, extend_at), calls
+
+
+class TestDiagGlobalMemo:
+    BITS = 2**11
+
+    @pytest.mark.parametrize(
+        "fam",
+        [singleton_family(), ones_family(), local_as_indexed(sparse_avoider()), reading_family()],
+        ids=lambda fam: fam.name,
+    )
+    def test_any_query_order_matches_resimulation(self, fam):
+        strings = [rank_to_string(p) for p in range(self.BITS)]
+        reference = resimulating_member(fam)
+        want = {x: reference(x) for x in strings}
+        shuffled = list(strings)
+        random.Random(derive_seed("memo-order", fam.name)).shuffle(shuffled)
+        orders = [shuffled, strings[::-1], [x for x in strings for _ in range(2)]]
+        counted, calls = counting(fam)
+        lang = diag_language_global(counted)
+        for order in orders:
+            assert [lang.member(x) for x in order] == [want[x] for x in order]
+        # each block is computed once, however the queries arrive
+        assert calls == list(range(1, len(strings[-1]) + 1))
+
+    def test_overflow_is_raised_again_and_never_stored(self):
+        fat = IndexedConstructor("fat3", lambda i, view: "1" * (9 if i == 3 else i))
+        reference = resimulating_member(fat)
+        lang = diag_language_global(fat)
+        for _ in range(2):
+            with pytest.raises(ExtensionOverflow, match=r"^fat3\[3\]: 9 bits exceed block size 8$"):
+                lang.member("0101")
+        # blocks below the overflow still answer, and the overflow stays
+        for x in ("", "0", "1", "00", "11", "10"):
+            assert lang.member(x) == reference(x)
+        for x in ("000", "1111"):
+            with pytest.raises(ExtensionOverflow, match=r"^fat3\[3\]"):
+                lang.member(x)

@@ -20,6 +20,7 @@ from bairekit.strategy import (
     constant_as_indexed,
     enforce_query_set,
     ext_of,
+    extension_length,
     local_as_indexed,
     materialize_local,
     meets_at,
@@ -31,7 +32,9 @@ from bairekit.strategy import (
 from bairekit.zoo import (
     EMPTY_QUERY_SET,
     ones_family,
+    ones_family_local,
     singleton_avoider,
+    singleton_family_local,
     sparse_avoider,
 )
 
@@ -248,18 +251,38 @@ class TestBoundTables:
     def test_sparse_table(self):
         assert bound_extension_sizes(sparse_avoider(), 2) == [1, 2, 4]
 
-    def test_lemma_properties(self):
-        table = bound_extension_sizes(sparse_avoider(), 4)
-        for i, value in enumerate(table):
-            assert value >= 2**i or i == 0
-        # property 1: every extension on short prefixes fits
-        for i in range(1, 5):
-            budget = sum(table[:i])
-            for length in range(budget + 1):
+    @staticmethod
+    def materialized_table(h, i_max, ext_cap):
+        """The table from the lengths of the materialized extensions."""
+        f = [1]
+        for i in range(1, i_max + 1):
+            best = 2**i
+            for length in range(sum(f) + 1):
                 for v in range(2**length):
                     sigma = format(v, f"0{length}b") if length else ""
-                    w = materialize_local(sparse_avoider(), i, sigma)
-                    assert len(w) <= table[i]
+                    best = max(best, len(materialize_local(h, i, sigma, ext_cap)))
+            f.append(best)
+        return f
+
+    def test_lemma_properties(self):
+        for h, i_max in ((sparse_avoider(), 4), (ones_family_local(), 3), (singleton_family_local(), 3)):
+            table = bound_extension_sizes(h, i_max)
+            for i, value in enumerate(table):
+                assert value >= 2**i or i == 0
+            # property 1: every extension on short prefixes fits, and the
+            # longest one (or 2^i) is the entry, measured by materializing it
+            assert table == self.materialized_table(h, i_max, 4096)
+
+    def test_cap_trips_as_materialize_local_does(self):
+        h = constant_ones_double()
+        with pytest.raises(ExtensionCap) as want:
+            self.materialized_table(h, 2, 5)
+        with pytest.raises(ExtensionCap) as got:
+            bound_extension_sizes(h, 2, ext_cap=5)
+        assert str(got.value) == str(want.value)
+        assert bound_extension_sizes(h, 2, ext_cap=6) == self.materialized_table(h, 2, 6)
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            bound_extension_sizes(h, 1, ext_cap=0)
 
     def test_bound_uniform_examples(self):
         assert bound_uniform(identity_strategy(), 5) == 5
@@ -292,7 +315,10 @@ class TestExtensionCoherence:
                 for length in list(range(9)) + [17, 32]:
                     # ones near the front keep certificate-driven endings near
                     sigma = ("101" + "".join(str(rng.randrange(2)) for _ in range(length)))[:length]
-                    w = materialize_local(h, i, sigma, 2048)
+                    built, counted = as_view(sigma), as_view(sigma)
+                    w = materialize_local(h, i, built, 2048)
+                    assert extension_length(h, i, counted, 2048) == len(w)
+                    assert counted.reads == built.reads
                     view = as_view(sigma)
                     for k, ch in enumerate(w, 1):
                         assert h.ext_bit(i, view, k) == int(ch), (h.name, i, sigma, k)
